@@ -7,33 +7,6 @@ namespace asyncgossip {
 DynamicBitset::DynamicBitset(std::size_t size)
     : size_(size), words_((size + 63) / 64, 0) {}
 
-void DynamicBitset::check_index(std::size_t i) const {
-  AG_ASSERT_MSG(i < size_, "bit index out of range");
-}
-
-void DynamicBitset::set(std::size_t i) {
-  check_index(i);
-  words_[i / 64] |= std::uint64_t{1} << (i % 64);
-}
-
-void DynamicBitset::reset(std::size_t i) {
-  check_index(i);
-  words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-}
-
-bool DynamicBitset::test(std::size_t i) const {
-  check_index(i);
-  return (words_[i / 64] >> (i % 64)) & 1;
-}
-
-bool DynamicBitset::set_and_check(std::size_t i) {
-  check_index(i);
-  const std::uint64_t mask = std::uint64_t{1} << (i % 64);
-  const bool was_clear = (words_[i / 64] & mask) == 0;
-  words_[i / 64] |= mask;
-  return was_clear;
-}
-
 void DynamicBitset::set_all() {
   if (size_ == 0) return;
   for (auto& w : words_) w = ~std::uint64_t{0};
@@ -47,7 +20,7 @@ void DynamicBitset::clear_all() {
 
 std::size_t DynamicBitset::count() const {
   std::size_t c = 0;
-  for (std::uint64_t w : words_) c += static_cast<std::size_t>(__builtin_popcountll(w));
+  for (std::uint64_t w : words_) c += popcount64(w);
   return c;
 }
 
@@ -70,12 +43,6 @@ bool DynamicBitset::merge(const DynamicBitset& other) {
 
 DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
   merge(other);
-  return *this;
-}
-
-DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
-  AG_ASSERT_MSG(size_ == other.size_, "bitset size mismatch in and");
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
   return *this;
 }
 

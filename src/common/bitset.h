@@ -1,16 +1,28 @@
-// Fixed-capacity dynamic bitset used for rumor sets and informed-lists.
+// Fixed-capacity dynamic bitset used for rumor sets.
 //
 // Rumors are identified by the originating process id, so a rumor set over n
-// processes is exactly n bits; the EARS informed-list I(p) is n such sets
-// (one per rumor). Union (operator|=) is the hot operation: a process
-// receiving a gossip message merges the sender's knowledge into its own.
+// processes is exactly n bits (the EARS informed-list, gossip/informed_list.h,
+// packs n rows of that width into one matrix). Union (operator|=) is the hot
+// operation: a process receiving a gossip message merges the sender's
+// knowledge into its own.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/assert.h"
+
 namespace asyncgossip {
+
+/// Set bits in one word. Portable SWAR: the default x86-64 target has no
+/// popcnt instruction, and __builtin_popcountll compiles to a libgcc call.
+inline std::size_t popcount64(std::uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555ULL);
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+}
 
 class DynamicBitset {
  public:
@@ -21,12 +33,20 @@ class DynamicBitset {
 
   std::size_t size() const { return size_; }
 
-  void set(std::size_t i);
-  void reset(std::size_t i);
-  bool test(std::size_t i) const;
-
-  /// Sets bit i and reports whether it was previously clear.
-  bool set_and_check(std::size_t i);
+  // Inline: these run once per bit on the algorithms' hot paths. The index
+  // check stays on in release builds like every AG_ASSERT.
+  void set(std::size_t i) {
+    check_index(i);
+    words_[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  void reset(std::size_t i) {
+    check_index(i);
+    words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  }
+  bool test(std::size_t i) const {
+    check_index(i);
+    return (words_[i / 64] >> (i % 64)) & 1;
+  }
 
   void set_all();
   void clear_all();
@@ -43,7 +63,6 @@ class DynamicBitset {
   bool merge(const DynamicBitset& other);
 
   DynamicBitset& operator|=(const DynamicBitset& other);
-  DynamicBitset& operator&=(const DynamicBitset& other);
 
   /// True iff every set bit of *this is also set in `other`.
   bool subset_of(const DynamicBitset& other) const;
@@ -67,6 +86,10 @@ class DynamicBitset {
     }
   }
 
+  /// The packed words: bit i is bit i % 64 of words()[i / 64]; bits at and
+  /// past size() are clear.
+  const std::vector<std::uint64_t>& words() const { return words_; }
+
   /// Bytes of a natural wire encoding (the packed words).
   std::size_t byte_size() const { return words_.size() * sizeof(std::uint64_t); }
 
@@ -78,7 +101,9 @@ class DynamicBitset {
   }
 
  private:
-  void check_index(std::size_t i) const;
+  void check_index(std::size_t i) const {
+    AG_ASSERT_MSG(i < size_, "bit index out of range");
+  }
 
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;

@@ -193,6 +193,20 @@ Time default_step_budget(const GossipSpec& spec) {
   return static_cast<Time>(budget);
 }
 
+double informed_list_state_bytes(const GossipSpec& spec) {
+  switch (spec.algorithm) {
+    case GossipAlgorithm::kEars:
+    case GossipAlgorithm::kSears:
+    case GossipAlgorithm::kRoundRobin: {
+      const double n = static_cast<double>(spec.n);
+      const double words = static_cast<double>((spec.n + 63) / 64);
+      return n * n * words * sizeof(std::uint64_t);
+    }
+    default:
+      return 0.0;
+  }
+}
+
 bool gossip_requires_gathering(const GossipSpec& spec) {
   switch (spec.algorithm) {
     case GossipAlgorithm::kTears:  // majority gossip only

@@ -165,6 +165,13 @@ AuditedGossipOutcome run_audited_gossip_spec(const GossipSpec& spec);
 /// Default step budget used when spec.max_steps == 0.
 Time default_step_budget(const GossipSpec& spec);
 
+/// Bytes of informed-list state the spec's processes hold once every row is
+/// present: n processes x n rows x ceil(n/64) 64-bit words for ears, sears
+/// and round-robin, 0 for the algorithms that keep no informed list. In
+/// flight, each send's snapshot is a copy of one process's list on top of
+/// this. Computed in floating point: for large n it exceeds 2^64.
+double informed_list_state_bytes(const GossipSpec& spec);
+
 /// Whether the algorithm's contract requires full rumor gathering at
 /// completion under this spec's model parameters: tears solves majority
 /// gossip only, lazy promises completion only, and the synchronous

@@ -138,15 +138,28 @@ DecodeError Reader::finish() {
   return DecodeError::kOk;
 }
 
+namespace {
+
+/// The bitset encoding of `nbits` bits packed in `words` (bit i is bit
+/// i % 64 of words[i / 64], bits past nbits clear): varint size, varint
+/// byte count with trailing zero bytes trimmed, then the bytes, bit i at
+/// bit i % 8 of byte i / 8.
+void encode_words(std::vector<std::uint8_t>* out, std::size_t nbits,
+                  const std::uint64_t* words) {
+  put_varint(out, nbits);
+  std::size_t nbytes = (nbits + 7) / 8;
+  const auto byte_at = [&](std::size_t i) {
+    return static_cast<std::uint8_t>(words[i / 8] >> (8 * (i % 8)));
+  };
+  while (nbytes > 0 && byte_at(nbytes - 1) == 0) --nbytes;
+  put_varint(out, nbytes);
+  for (std::size_t i = 0; i < nbytes; ++i) out->push_back(byte_at(i));
+}
+
+}  // namespace
+
 void encode_bitset(std::vector<std::uint8_t>* out, const DynamicBitset& bits) {
-  put_varint(out, bits.size());
-  std::vector<std::uint8_t> packed((bits.size() + 7) / 8, 0);
-  bits.for_each_set([&](std::size_t i) {
-    packed[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  });
-  while (!packed.empty() && packed.back() == 0) packed.pop_back();
-  put_varint(out, packed.size());
-  out->insert(out->end(), packed.begin(), packed.end());
+  encode_words(out, bits.size(), bits.words().data());
 }
 
 bool decode_bitset(Reader* r, DynamicBitset* out) {
@@ -195,8 +208,13 @@ void encode_payload(std::vector<std::uint8_t>* out, const Payload* payload) {
   if (const auto* p = dynamic_cast<const EpidemicPayload*>(payload)) {
     put_varint(out, kTagEpidemic);
     encode_bitset(out, p->rumors);
-    put_varint(out, p->informed.size());
-    for (const DynamicBitset& inf : p->informed) encode_bitset(out, inf);
+    const InformedList& inf = p->informed;
+    put_varint(out, inf.size());
+    for (std::size_t r = 0; r < inf.size(); ++r) {
+      // An absent row is a size-0 bitset; a present one has n bits.
+      if (inf.present(r)) encode_words(out, inf.size(), inf.row_words(r));
+      else encode_words(out, 0, nullptr);
+    }
     return;
   }
   if (const auto* p = dynamic_cast<const TearsPayload*>(payload)) {
@@ -238,13 +256,29 @@ bool decode_payload(Reader* r, PayloadPtr* out) {
       if (!decode_bitset(r, &p->rumors)) return false;
       std::uint64_t count = 0;
       if (!r->varint(&count)) return false;
-      if (count > kMaxCount) {
+      // One row per rumor, each absent (size 0) or exactly n bits wide:
+      // the receiving process indexes rows by rumor id.
+      if (count > kMaxCount || count != p->rumors.size()) {
         r->fail(DecodeError::kBadValue);
         return false;
       }
-      p->informed.resize(static_cast<std::size_t>(count));
-      for (DynamicBitset& inf : p->informed)
-        if (!decode_bitset(r, &inf)) return false;
+      // Every row takes at least two bytes. Checking that up front keeps a
+      // short frame from allocating the n x n row matrix.
+      if (count > r->remaining() / 2) {
+        r->fail(DecodeError::kTruncated);
+        return false;
+      }
+      p->informed = InformedList(static_cast<std::size_t>(count));
+      DynamicBitset row;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (!decode_bitset(r, &row)) return false;
+        if (row.size() == 0) continue;
+        if (row.size() != count) {
+          r->fail(DecodeError::kBadValue);
+          return false;
+        }
+        p->informed.set_row(i, row);
+      }
       *out = std::move(p);
       return true;
     }

@@ -35,10 +35,15 @@ TEST(BitComplexity, TearsPayloadLinearInN) {
 TEST(BitComplexity, EpidemicPayloadGrowsWithInformedList) {
   EpidemicPayload p;
   p.rumors = DynamicBitset(256);
-  p.informed.resize(256);
+  p.informed = InformedList(256);
   const std::size_t empty_size = p.byte_size();
-  for (std::size_t r = 0; r < 256; ++r) p.informed[r] = DynamicBitset(256);
+  // V (32 bytes) plus one presence bit per rumor (32 bytes).
+  EXPECT_EQ(empty_size, 32u + 32u);
+  for (std::size_t r = 0; r < 256; ++r)
+    p.informed.set_row(r, DynamicBitset(256));
   EXPECT_GT(p.byte_size(), empty_size + 256 * 30);  // ~n^2/8 bytes
+  // Every present row costs its packed words, set bits or not.
+  EXPECT_EQ(p.byte_size(), empty_size + 256u * 32u);
 }
 
 TEST(BitComplexity, EngineAccumulatesBytes) {

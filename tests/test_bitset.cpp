@@ -33,13 +33,6 @@ TEST(Bitset, SetTestReset) {
   EXPECT_EQ(b.count(), 3u);
 }
 
-TEST(Bitset, SetAndCheck) {
-  DynamicBitset b(10);
-  EXPECT_TRUE(b.set_and_check(3));
-  EXPECT_FALSE(b.set_and_check(3));
-  EXPECT_TRUE(b.test(3));
-}
-
 TEST(Bitset, SetAllRespectsTail) {
   DynamicBitset b(67);
   b.set_all();
@@ -83,18 +76,6 @@ TEST(Bitset, SubsetOf) {
   EXPECT_TRUE(a.subset_of(a));
   DynamicBitset empty(64);
   EXPECT_TRUE(empty.subset_of(a));
-}
-
-TEST(Bitset, AndOperator) {
-  DynamicBitset a(32), b(32);
-  a.set(1);
-  a.set(2);
-  b.set(2);
-  b.set(3);
-  a &= b;
-  EXPECT_FALSE(a.test(1));
-  EXPECT_TRUE(a.test(2));
-  EXPECT_FALSE(a.test(3));
 }
 
 TEST(Bitset, FirstClear) {

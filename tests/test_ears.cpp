@@ -6,6 +6,7 @@
 
 #include "gossip/completion.h"
 #include "gossip/harness.h"
+#include "informed_list_testing.h"
 
 namespace asyncgossip {
 namespace {
@@ -77,7 +78,7 @@ TEST(Ears, PayloadCarriesRumorsAndInformedList) {
   EXPECT_TRUE(payload->rumors.test(0));
   // The snapshot is taken before the (rumor, target) pairs are recorded, as
   // in Figure 2 (send on line 18, update I on lines 19-20).
-  EXPECT_EQ(payload->informed[0].size(), 0u);
+  EXPECT_EQ(informed_row(payload->informed, 0).size(), 0u);
 }
 
 TEST(Ears, InformedListRecordsTargets) {
@@ -88,7 +89,7 @@ TEST(Ears, InformedListRecordsTargets) {
   const auto* payload =
       dynamic_cast<const EpidemicPayload*>(out[0].payload.get());
   ASSERT_NE(payload, nullptr);
-  EXPECT_EQ(payload->informed[0].count(), 1u);
+  EXPECT_EQ(informed_row(payload->informed, 0).count(), 1u);
 }
 
 TEST(Ears, MergesReceivedRumors) {
@@ -127,7 +128,7 @@ TEST(Ears, GoesQuiescentAfterShutdownPhaseAndWakesOnNews) {
   auto news = std::make_shared<EpidemicPayload>();
   news->rumors = DynamicBitset(2);
   news->rumors.set(1);
-  news->informed.resize(2);
+  news->informed = InformedList(2);
   const auto out = drive_step(p, 0, 2, {wrap(1, 0, news)}, s++);
   EXPECT_FALSE(p.quiescent());
   EXPECT_EQ(out.size(), 1u);  // resumed sending
@@ -143,7 +144,7 @@ TEST(Ears, SleepCountResetsOnRegression) {
   auto news = std::make_shared<EpidemicPayload>();
   news->rumors = DynamicBitset(2);
   news->rumors.set(1);
-  news->informed.resize(2);
+  news->informed = InformedList(2);
   drive_step(p, 0, 2, {wrap(1, 0, news)}, 999);
   EXPECT_EQ(p.sleep_count(), 0u);
 }

@@ -146,10 +146,8 @@ TEST_P(CommonCore, HoldsOnPhaseOneExchanges) {
           if (rec.pos.phase == phase && rec.pos.exchange == exchange) {
             // The get-core *return* is the accumulated item set (votes),
             // not the origins counted in the final sub-instance.
-            DynamicBitset known(spec.config.n);
             for (std::size_t o = 0; o < spec.config.n; ++o)
-              if (rec.returned.items[o] != kValUnknown) known.set(o);
-            intersection &= known;
+              if (rec.returned.items[o] == kValUnknown) intersection.reset(o);
             ++participants;
           }
         }

@@ -29,6 +29,7 @@
 
 #include "common/rng.h"
 #include "gossip/epidemic.h"
+#include "informed_list_testing.h"
 #include "gossip/lazy.h"
 #include "gossip/sync_gossip.h"
 #include "gossip/tears.h"
@@ -133,6 +134,48 @@ TEST(Wire, GoldenDataFrame) {
   EXPECT_TRUE(p->rumors == payload->rumors);
 }
 
+TEST(Wire, GoldenEpidemicDataFrame) {
+  // An EARS/SEARS snapshot over 12 rumors: V = {0, 3, 11}, and one
+  // informed-list row present (rumor 3 sent to {1, 2}). Absent rows are
+  // size-0 bitsets, so the row count always equals the rumor count.
+  auto payload = std::make_shared<EpidemicPayload>();
+  payload->rumors = bits_of(12, {0, 3, 11});
+  payload->informed = InformedList(12);
+  payload->informed.set_row(3, bits_of(12, {1, 2}));
+  wire::DataFrame frame;
+  frame.from = 1;
+  frame.to = 0;
+  frame.seq = 9;
+  frame.envelopes.push_back(make_env(1000, 1, 0, 4, 7, payload));
+
+  Bytes out;
+  wire::encode_data_frame(&out, frame);
+  const Bytes kGolden = {
+      'A', 'G', 0x01, 0x01,    // header: magic, version, kData
+      0x01, 0x00, 0x09,        // from, to, seq
+      0x01,                    // envelope count
+      0xe8, 0x07, 0x04, 0x03,  // id 1000, send_time, delay
+      0x02,                    // payload tag: epidemic
+      0x0c, 0x02, 0x09, 0x08,  // V: 12 bits, 2 bytes, {0, 3} {11}
+      0x0c,                    // 12 informed-list rows
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rows 0-2 absent
+      0x0c, 0x01, 0x06,                    // row 3: 12 bits, {1, 2}
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rows 4-7 absent
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rows 8-11 absent
+  };
+  EXPECT_EQ(out, kGolden);
+
+  wire::DataFrame back;
+  ASSERT_EQ(wire::decode_data_frame(kGolden.data(), kGolden.size(), &back),
+            wire::DecodeError::kOk);
+  ASSERT_EQ(back.envelopes.size(), 1u);
+  const auto* p = payload_cast<EpidemicPayload>(back.envelopes[0]);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(p->rumors == payload->rumors);
+  EXPECT_TRUE(same_informed(p->informed, payload->informed));
+  EXPECT_EQ(p->byte_size(), payload->byte_size());
+}
+
 TEST(Wire, GoldenAckAndSignalFrames) {
   wire::AckFrame ack;
   ack.receiver = 2;
@@ -176,9 +219,10 @@ TEST(Wire, DataFrameRoundTripsEveryPayloadShape) {
         case 2: {
           auto p = std::make_shared<EpidemicPayload>();
           p->rumors = random_bits(kRumors, &rng);
-          p->informed.resize(kRumors);
-          for (DynamicBitset& inf : p->informed)
-            if (rng.uniform(2) == 0) inf = random_bits(kRumors, &rng);
+          p->informed = InformedList(kRumors);
+          for (std::size_t r = 0; r < kRumors; ++r)
+            if (rng.uniform(2) == 0)
+              p->informed.set_row(r, random_bits(kRumors, &rng));
           payload = std::move(p);
           break;
         }
@@ -242,7 +286,11 @@ TEST(Wire, DataFrameRoundTripsEveryPayloadShape) {
           EXPECT_TRUE(a->rumors == b->rumors);
           ASSERT_EQ(a->informed.size(), b->informed.size());
           for (std::size_t j = 0; j < a->informed.size(); ++j)
-            EXPECT_TRUE(a->informed[j] == b->informed[j]) << j;
+            EXPECT_TRUE(informed_row(a->informed, j) ==
+                        informed_row(b->informed, j))
+                << j;
+          EXPECT_TRUE(same_informed(a->informed, b->informed));
+          EXPECT_EQ(a->byte_size(), b->byte_size());
           break;
         }
         case 3: {
@@ -342,8 +390,8 @@ TEST(Wire, ControlFramesRoundTrip) {
 Bytes rich_data_frame() {
   auto payload = std::make_shared<EpidemicPayload>();
   payload->rumors = bits_of(12, {0, 3, 11});
-  payload->informed.resize(12);
-  payload->informed[3] = bits_of(12, {1, 2});
+  payload->informed = InformedList(12);
+  payload->informed.set_row(3, bits_of(12, {1, 2}));
   wire::DataFrame frame;
   frame.from = 1;
   frame.to = 0;
@@ -480,6 +528,27 @@ TEST(Wire, OutOfRangeValuesAreRejected) {
   wire::put_varint(&frame, 1);
   frame.push_back(0x02);  // bit 1 set, beyond the declared size
   expect_bad(frame, "set bit beyond size");
+
+  // Epidemic payloads must be shaped like an n-process snapshot: one
+  // informed-list row per rumor, each absent or exactly n bits wide.
+  const auto epidemic_prefix = [&](std::uint64_t rows) {
+    data_prefix(/*seq=*/1, /*count=*/1);
+    wire::put_varint(&frame, 8);  // id
+    wire::put_varint(&frame, 4);  // send_time
+    wire::put_varint(&frame, 2);  // delay
+    wire::put_varint(&frame, 2);  // payload tag: epidemic
+    wire::encode_bitset(&frame, bits_of(4, {0}));  // V over 4 rumors
+    wire::put_varint(&frame, rows);
+  };
+
+  epidemic_prefix(/*rows=*/3);
+  for (int i = 0; i < 3; ++i) wire::encode_bitset(&frame, DynamicBitset());
+  expect_bad(frame, "informed-list row count != rumor count");
+
+  epidemic_prefix(/*rows=*/4);
+  wire::encode_bitset(&frame, bits_of(5, {1}));  // 5 bits wide, not 4
+  for (int i = 0; i < 3; ++i) wire::encode_bitset(&frame, DynamicBitset());
+  expect_bad(frame, "informed-list row width != rumor count");
 
   // Unknown payload shape tag.
   data_prefix(/*seq=*/1, /*count=*/1);

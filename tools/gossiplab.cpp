@@ -51,12 +51,14 @@
 //   gossiplab loadgen --target inproc --requests 1000000 --crashes 2
 //       --log svc.log --obs svc.obs
 //   gossiplab histcheck --log svc.log --obs svc.obs
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <iostream>
 #include <map>
@@ -64,6 +66,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "consensus/canetti_rabin.h"
 #include "consensus/cr_gossip.h"
@@ -74,6 +78,7 @@
 #include "rt/driver.h"
 #include "rt/multiproc.h"
 #include "sim/span_export.h"
+#include "sim/sweep.h"
 #include "sim/telemetry.h"
 #include "sim/telemetry_export.h"
 #include "sim/trace.h"
@@ -249,6 +254,47 @@ GossipSpec spec_from_flags(const Flags& f) {
   return spec;
 }
 
+// Peak memory of an informed-list run as a multiple of its process state:
+// besides its own list, every process holds a cached snapshot (a copy) and
+// more snapshots are in flight for up to d steps. Peak RSS over state,
+// ears at n = 2000, d = 4, delta = 2: 3.0 with --engine-jobs 1, 3.8 with
+// --engine-jobs 4. A larger d keeps more snapshots in flight, so there the
+// estimate is a floor, not a bound.
+constexpr double kInformedListPeakFactor = 4.0;
+
+/// Refuses, before any process is built, runs whose informed-list state
+/// cannot fit in physical memory: an infeasible n then exits 2 with a
+/// message instead of being killed by the OOM killer halfway through.
+/// `concurrent` runs are resident at once (sweep --jobs). Returns false
+/// after printing the reason.
+bool fits_in_memory(const char* cmd, const std::vector<GossipSpec>& specs,
+                    std::size_t concurrent) {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGE_SIZE);
+  if (pages <= 0 || page_size <= 0) return true;  // unknown: do not guess
+  const double physical = static_cast<double>(pages) * static_cast<double>(page_size);
+  std::vector<double> needs;
+  for (const GossipSpec& spec : specs)
+    needs.push_back(kInformedListPeakFactor * informed_list_state_bytes(spec));
+  std::sort(needs.begin(), needs.end(), std::greater<>());
+  needs.resize(std::min(needs.size(), std::max<std::size_t>(concurrent, 1)));
+  double need = 0;
+  for (double b : needs) need += b;
+  if (need <= physical) return true;
+  constexpr double kGB = 1e9;
+  std::fprintf(stderr,
+               "%s: not enough memory: the informed lists need about %.1f GB "
+               "(%.1f GB of state for the largest run, times %.0f for the "
+               "snapshots in flight",
+               cmd, need / kGB, needs.front() / kInformedListPeakFactor / kGB,
+               kInformedListPeakFactor);
+  if (needs.size() > 1)
+    std::fprintf(stderr, ", %zu runs at once", needs.size());
+  std::fprintf(stderr, ") but this machine has %.1f GB of physical memory\n",
+               physical / kGB);
+  return false;
+}
+
 void print_gossip_csv_header() {
   std::printf(
       "alg,n,f,d,delta,seed,completed,steps,msgs,bytes,gathering,majority,"
@@ -277,6 +323,7 @@ int cmd_gossip(const Flags& f) {
   }
   check_flags("gossip", f, {SPEC_FLAG_LIST, "csv"});
   const GossipSpec spec = spec_from_flags(f);
+  if (!fits_in_memory("gossip", {spec}, 1)) return 2;
   const GossipOutcome out = run_gossip_spec(spec);
   if (has_flag(f, "csv")) {
     print_gossip_csv_header();
@@ -343,6 +390,8 @@ int cmd_sweep(const Flags& f) {
       specs.push_back(spec_from_flags(g));
     }
   }
+  const std::size_t workers = SweepRunner(static_cast<std::size_t>(jobs)).jobs();
+  if (!fits_in_memory("sweep", specs, workers)) return 2;
   const std::vector<GossipSweepResult> results =
       run_gossip_sweep(specs, static_cast<std::size_t>(jobs));
 
@@ -532,6 +581,7 @@ int cmd_report(const Flags& f) {
   }
   check_flags("report", f, {SPEC_FLAG_LIST, "out", "spread-csv"});
   GossipSpec spec = spec_from_flags(f);
+  if (!fits_in_memory("report", {spec}, 1)) return 2;
   TelemetryCollector telemetry(telemetry_config(spec));
   spec.telemetry = &telemetry;
   const GossipOutcome out = run_gossip_spec(spec);

@@ -14,7 +14,11 @@
 #      transport-flag contract violations exit 2;
 #   7. the serving stack: an inproc loadgen run commits a consistent history
 #      (histcheck exits 0), a tampered log is rejected (exit 1), and the
-#      serve/loadgen/histcheck flag contracts exit 2.
+#      serve/loadgen/histcheck flag contracts exit 2;
+#   8. the up-front memory estimate: an informed-list run that cannot fit
+#      in physical memory exits 2 with a message before the engine is
+#      built (run under a 1 GB address-space limit, which building the
+#      n = 100000 processes would exceed; sanitized builds run uncapped).
 # Driven by ctest; see tools/CMakeLists.txt.
 foreach(var GOSSIPLAB TRACECHECK WORKDIR FIXTURE)
   if(NOT DEFINED ${var})
@@ -274,5 +278,29 @@ execute_process(COMMAND "${GOSSIPLAB}" histcheck --log "${svc_log}"
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "histcheck without --obs exited ${rc}, want 2")
 endif()
+
+# 8. Infeasible informed-list runs are refused before anything is built.
+# The 1 GB address-space cap makes "allocates nothing" observable: building
+# the n = 100000 engine would fail under it. Sanitized builds skip the cap
+# (their runtime's shadow reservation alone exceeds it) and check only the
+# exit code and the message.
+if(SANITIZED)
+  set(memory_cap "")
+else()
+  set(memory_cap "ulimit -v 1048576 && ")
+endif()
+foreach(sub gossip sweep report)
+  execute_process(
+    COMMAND sh -c "${memory_cap}exec \"$0\" \"$@\""
+            "${GOSSIPLAB}" ${sub} --alg ears --n 100000
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 60)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${sub} --alg ears --n 100000 exited ${rc}, want 2:\n"
+                        "${err}")
+  endif()
+  if(NOT err MATCHES "not enough memory")
+    message(FATAL_ERROR "${sub} --n 100000 printed no memory message:\n${err}")
+  endif()
+endforeach()
 
 message(STATUS "gossiplab CLI smoke test passed")
